@@ -15,8 +15,16 @@
 //!    the symbolic-only run: the canned corpus finds a concrete bug
 //!    during the first fuzz batch, before the first symbolic quantum.
 //!
+//! It also times the two ways to get a runner ready for an execution:
+//! building a fresh `ConcreteRunner` and resetting a used one from its
+//! post-load snapshot. Replay builds one runner per bug; the fuzz loop
+//! resets one runner per execution.
+//!
 //! `--smoke` runs the pcnet subset for CI and still writes the JSON.
 
+use std::time::Instant;
+
+use ddt_core::replay::ConcreteRunner;
 use ddt_core::{Ddt, DdtConfig, DriverUnderTest, FuzzConfig};
 use serde::Deserialize;
 
@@ -48,6 +56,8 @@ struct BenchDriver {
     concrete_bugs: u64,
     speedup: u64,
     hybrid_first_bug_quanta: u64,
+    runner_new_ns: u64,
+    runner_reset_ns: u64,
 }
 
 struct Row {
@@ -65,12 +75,30 @@ struct Row {
     conc_bugs: u64,
     speedup: u64,
     hybrid_first_bug: u64,
+    new_ns: u64,
+    reset_ns: u64,
 }
 
 /// Instructions per second with millisecond walls clamped to 1 (the fuzz
 /// phase of a small driver finishes in single-digit milliseconds).
 fn rate(insns: u64, wall_ms: u64) -> u64 {
     insns * 1000 / wall_ms.max(1)
+}
+
+/// Fastest per-call time of `f` in nanoseconds, over five rounds of 2000
+/// calls (the fastest round is the cost outside host noise).
+fn fastest_ns(mut f: impl FnMut()) -> u64 {
+    const CALLS: u32 = 2000;
+    (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..CALLS {
+                f();
+            }
+            t.elapsed().as_nanos() as u64 / CALLS as u64
+        })
+        .min()
+        .unwrap_or(0)
 }
 
 fn bench_driver(name: &'static str) -> Row {
@@ -96,6 +124,13 @@ fn bench_driver(name: &'static str) -> Row {
     // concrete bug before the first symbolic quantum runs.
     let hybrid = ddt_core::run_hybrid(&tool, &dut, &FuzzConfig::default());
 
+    let hw = vec![1, 1, 1, 1];
+    let new_ns = fastest_ns(|| {
+        std::hint::black_box(ConcreteRunner::new(&dut, hw.clone()));
+    });
+    let mut runner = ConcreteRunner::new(&dut, hw.clone());
+    let reset_ns = fastest_ns(|| runner.reset(&dut, hw.clone()));
+
     let sym_rate = rate(sym.stats.insns, sym.stats.wall_ms);
     let conc_rate = rate(conc.stats.fuzz_insns, conc.stats.fuzz_wall_ms);
     Row {
@@ -113,6 +148,8 @@ fn bench_driver(name: &'static str) -> Row {
         conc_bugs: conc.stats.concrete_bugs,
         speedup: conc_rate / sym_rate.max(1),
         hybrid_first_bug: hybrid.stats.quanta_to_first_bug,
+        new_ns,
+        reset_ns,
     }
 }
 
@@ -125,14 +162,15 @@ fn main() {
     println!("Concrete executor vs symbolic engine (bundled NIC drivers)");
     println!();
     println!(
-        "  {:<10} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9} {:>8}",
-        "Driver", "Sym insn/s", "Conc insn/s", "Speedup", "Conc execs", "Conc blocks", "1st(sym)", "1st(hyb)"
+        "  {:<10} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9} {:>8} {:>8} {:>8}",
+        "Driver", "Sym insn/s", "Conc insn/s", "Speedup", "Conc execs", "Conc blocks", "1st(sym)",
+        "1st(hyb)", "new ns", "reset ns"
     );
     let mut rows = Vec::new();
     for &name in drivers {
         let r = bench_driver(name);
         println!(
-            "  {:<10} {:>12} {:>12} {:>8}x {:>12} {:>12} {:>9} {:>8}",
+            "  {:<10} {:>12} {:>12} {:>8}x {:>12} {:>12} {:>9} {:>8} {:>8} {:>8}",
             r.driver,
             r.sym_rate,
             r.conc_rate,
@@ -140,7 +178,9 @@ fn main() {
             r.conc_execs,
             r.conc_blocks,
             r.sym_first_bug,
-            r.hybrid_first_bug
+            r.hybrid_first_bug,
+            r.new_ns,
+            r.reset_ns
         );
         rows.push(r);
     }
@@ -194,7 +234,9 @@ fn main() {
                     "      \"concrete_blocks\": {},\n",
                     "      \"concrete_bugs\": {},\n",
                     "      \"speedup\": {},\n",
-                    "      \"hybrid_first_bug_quanta\": {}\n",
+                    "      \"hybrid_first_bug_quanta\": {},\n",
+                    "      \"runner_new_ns\": {},\n",
+                    "      \"runner_reset_ns\": {}\n",
                     "    }}"
                 ),
                 r.driver,
@@ -210,7 +252,9 @@ fn main() {
                 r.conc_blocks,
                 r.conc_bugs,
                 r.speedup,
-                r.hybrid_first_bug
+                r.hybrid_first_bug,
+                r.new_ns,
+                r.reset_ns
             )
         })
         .collect();

@@ -511,7 +511,9 @@ impl ConcreteRunner {
     }
 
     fn inject_interrupt(&mut self, b: u64) -> bool {
-        if !self.inject_at.contains(&b) || self.frames.len() != 1 {
+        // Like the symbolic fork site, only a nested frame blocks delivery: an
+        // interrupt at a workload boundary, between entry points, fires too.
+        if !self.inject_at.contains(&b) || self.frames.len() > 1 {
             return false;
         }
         // A removed or powered-down device raises no interrupts.

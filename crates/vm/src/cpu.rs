@@ -143,6 +143,12 @@ impl Vm {
             .map_err(|MemError { addr, kind }| Fault::BadAccess { pc, addr, kind })
     }
 
+    /// Fetches the 8-byte instruction word at `pc`. A partly mapped word
+    /// faults at its first unmapped byte.
+    fn fetch(&mut self, pc: u32) -> Result<[u8; 8], MemError> {
+        self.mem.read(pc, 8, AccessKind::Fetch).map(u64::to_le_bytes)
+    }
+
     /// Fetches and executes one instruction.
     ///
     /// Kernel traps are detected *before* executing at the trap address, so
@@ -157,20 +163,12 @@ impl Vm {
         if let Some(export_id) = trap_export_id(pc) {
             return StepEvent::KernelCall { export_id, return_to: self.cpu.get(Reg::LR) };
         }
-        // Fetch.
-        let mut raw = [0u8; 8];
-        for (i, b) in raw.iter_mut().enumerate() {
-            match self.mem.read_u8(pc.wrapping_add(i as u32), AccessKind::Fetch) {
-                Ok(v) => *b = v,
-                Err(e) => {
-                    return StepEvent::Faulted(Fault::BadAccess {
-                        pc,
-                        addr: e.addr,
-                        kind: AccessKind::Fetch,
-                    })
-                }
+        let raw = match self.fetch(pc) {
+            Ok(raw) => raw,
+            Err(e) => {
+                return StepEvent::Faulted(Fault::BadAccess { pc, addr: e.addr, kind: e.kind })
             }
-        }
+        };
         let Some(insn) = decode(&raw) else {
             return StepEvent::Faulted(Fault::IllegalInsn { pc });
         };
@@ -421,20 +419,7 @@ impl Vm {
         let mut insns = Vec::new();
         let mut cur = pc;
         while insns.len() < MAX_SUPERBLOCK {
-            let mut raw = [0u8; 8];
-            let mut ok = true;
-            for (i, b) in raw.iter_mut().enumerate() {
-                match self.mem.read_u8(cur.wrapping_add(i as u32), AccessKind::Fetch) {
-                    Ok(v) => *b = v,
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                break;
-            }
+            let Ok(raw) = self.fetch(cur) else { break };
             let Some(insn) = decode(&raw) else { break };
             let terminal = insn.is_terminator();
             insns.push((cur, insn));

@@ -6,6 +6,7 @@
 //! pointer dereferences during replay.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -94,8 +95,9 @@ impl Memory {
         let last_page = (end - 1) / PAGE_SIZE;
         for p in first_page..=last_page {
             let page_base = p * PAGE_SIZE;
-            // Only drop pages fully inside the unmapped range.
-            if page_base >= start && page_base + PAGE_SIZE <= end {
+            // Only drop pages fully inside the unmapped range. (`page_base`
+            // is below `end`; the top page's `page_base + PAGE_SIZE` wraps.)
+            if page_base >= start && end - page_base >= PAGE_SIZE {
                 self.pages.remove(&page_base);
             }
         }
@@ -120,6 +122,11 @@ impl Memory {
             }
         }
         true
+    }
+
+    /// [`is_range_mapped`](Self::is_range_mapped) for a slice length.
+    fn is_span_mapped(&self, addr: u32, len: usize) -> bool {
+        u32::try_from(len).is_ok_and(|len| self.is_range_mapped(addr, len))
     }
 
     fn page(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE as usize] {
@@ -171,38 +178,101 @@ impl Memory {
 
     /// Reads a little-endian value of `size` bytes (1, 2, 4, or 8).
     pub fn read(&mut self, addr: u32, size: u8, kind: AccessKind) -> Result<u64, MemError> {
-        let mut v = 0u64;
-        for i in 0..size {
-            v |= (self.read_u8(addr.wrapping_add(i as u32), kind)? as u64) << (8 * i);
-        }
-        Ok(v)
+        let mut raw = [0u8; 8];
+        self.read_span(addr, &mut raw[..size as usize], kind)?;
+        Ok(u64::from_le_bytes(raw))
     }
 
     /// Writes a little-endian value of `size` bytes.
     pub fn write(&mut self, addr: u32, size: u8, v: u64) -> Result<(), MemError> {
-        for i in 0..size {
-            self.write_u8(addr.wrapping_add(i as u32), (v >> (8 * i)) as u8)?;
-        }
-        Ok(())
+        self.write_span(addr, &v.to_le_bytes()[..size as usize])
     }
 
     /// Copies a byte slice into guest memory.
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), MemError> {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u32), b)?;
-        }
-        Ok(())
+        self.write_span(addr, bytes)
     }
 
     /// Reads `len` bytes from guest memory.
     pub fn read_bytes(&mut self, addr: u32, len: u32) -> Result<Vec<u8>, MemError> {
-        (0..len).map(|i| self.read_u8(addr.wrapping_add(i), AccessKind::Read)).collect()
+        if !self.is_range_mapped(addr, len) {
+            // Fault before sizing a buffer from a wild length.
+            return (0..len).map(|i| self.read_u8(addr.wrapping_add(i), AccessKind::Read)).collect();
+        }
+        let mut out = vec![0; len as usize];
+        self.read_span(addr, &mut out, AccessKind::Read)?;
+        Ok(out)
+    }
+
+    /// Fills `out` from `[addr, addr+out.len())`.
+    ///
+    /// A fully mapped span costs one region check and one page lookup per
+    /// touched page. Any other span (partly unmapped, or wrapping the
+    /// address space) goes byte by byte, so the error names the first
+    /// unmapped byte exactly as a sequence of [`read_u8`](Self::read_u8)
+    /// calls would.
+    fn read_span(&mut self, addr: u32, out: &mut [u8], kind: AccessKind) -> Result<(), MemError> {
+        if !self.is_span_mapped(addr, out.len()) {
+            for (i, b) in out.iter_mut().enumerate() {
+                *b = self.read_u8(addr.wrapping_add(i as u32), kind)?;
+            }
+            return Ok(());
+        }
+        for (base, off, span) in page_pieces(addr, out.len()) {
+            let chunk = &mut out[span];
+            match self.pages.get(&base) {
+                Some(p) => chunk.copy_from_slice(&p[off..off + chunk.len()]),
+                None => chunk.fill(0),
+            }
+        }
+        Ok(())
+    }
+
+    /// Stores `bytes` at `[addr, addr+bytes.len())`, with the same
+    /// one-lookup-per-page fast path and byte-by-byte fallback as
+    /// [`read_span`](Self::read_span). On a fault the bytes before the
+    /// first unmapped one are already written, and the code generation
+    /// rises by one per byte that lands in the code region.
+    fn write_span(&mut self, addr: u32, bytes: &[u8]) -> Result<(), MemError> {
+        if !self.is_span_mapped(addr, bytes.len()) {
+            for (i, &b) in bytes.iter().enumerate() {
+                self.write_u8(addr.wrapping_add(i as u32), b)?;
+            }
+            return Ok(());
+        }
+        if let Some((s, e)) = self.code_region {
+            // The span is mapped, so its end does not wrap.
+            let end = addr + bytes.len() as u32;
+            let inside = end.min(e).saturating_sub(addr.max(s));
+            self.code_generation += inside as u64;
+        }
+        for (base, off, span) in page_pieces(addr, bytes.len()) {
+            let n = span.len();
+            self.page(base)[off..off + n].copy_from_slice(&bytes[span]);
+        }
+        Ok(())
     }
 
     /// Iterates over mapped regions as `(start, end)` pairs.
     pub fn regions(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.regions.iter().map(|(&s, &e)| (s, e))
     }
+}
+
+/// Splits a mapped span `[addr, addr+len)` at page boundaries: one
+/// `(page base, offset in the page, range within the span)` per page.
+fn page_pieces(addr: u32, len: usize) -> impl Iterator<Item = (u32, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let a = addr + done as u32;
+            let base = a & !(PAGE_SIZE - 1);
+            let off = (a - base) as usize;
+            let n = (len - done).min(PAGE_SIZE as usize - off);
+            done += n;
+            (base, off, done - n..done)
+        })
+    })
 }
 
 #[cfg(test)]

@@ -2,24 +2,27 @@
 //! inputs, interrupt schedule, and forced-failure schedule re-trigger the
 //! same failure in the concrete VM.
 
-use ddt::{replay_bug, Ddt, DriverUnderTest, ReplayOutcome};
+use ddt::{replay_bug, test_parallel, Ddt, DriverUnderTest, ReplayOutcome, Report};
 
-fn assert_all_replay(driver: &str) {
-    let spec = ddt::drivers::driver_by_name(driver).unwrap();
-    let dut = DriverUnderTest::from_spec(&spec);
-    let report = Ddt::default().test(&dut);
-    assert!(!report.bugs.is_empty(), "{driver} must have bugs to replay");
+fn assert_report_replays(run: &str, dut: &DriverUnderTest, report: &Report) {
+    assert!(!report.bugs.is_empty(), "{run} must have bugs to replay");
     for bug in &report.bugs {
-        match replay_bug(&dut, bug) {
+        match replay_bug(dut, bug) {
             ReplayOutcome::Reproduced { .. } => {}
             ReplayOutcome::NotReproduced { observed } => {
                 panic!(
-                    "{driver}: bug not reproduced: [{}] {} (observed {observed})",
+                    "{run}: bug not reproduced: [{}] {} (observed {observed})",
                     bug.class, bug.description
                 );
             }
         }
     }
+}
+
+fn assert_all_replay(driver: &str) {
+    let spec = ddt::drivers::driver_by_name(driver).unwrap();
+    let dut = DriverUnderTest::from_spec(&spec);
+    assert_report_replays(driver, &dut, &Ddt::default().test(&dut));
 }
 
 #[test]
@@ -40,6 +43,18 @@ fn pcnet_bugs_replay() {
 #[test]
 fn ac97_bug_replays() {
     assert_all_replay("ac97");
+}
+
+#[test]
+fn pro100_bugs_replay_serial_and_parallel() {
+    // The parallel explorer reaches the pro100 HandleInterrupt lock-variant
+    // bug through an interrupt injected at a workload boundary, after one
+    // entry point returned and before the next is called. The concrete
+    // replayer must deliver it there, as the symbolic fork site did.
+    let spec = ddt::drivers::driver_by_name("pro100").unwrap();
+    let dut = DriverUnderTest::from_spec(&spec);
+    assert_report_replays("pro100", &dut, &Ddt::default().test(&dut));
+    assert_report_replays("pro100 on 2 workers", &dut, &test_parallel(&Ddt::default(), &dut, 2));
 }
 
 #[test]
