@@ -134,6 +134,7 @@ pub struct TraceArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provenance::ProvenanceChain;
 
     fn record() -> BugRecord {
         BugRecord {
@@ -200,5 +201,91 @@ mod tests {
         assert_eq!(r.replay_decisions(), &r.decisions[..]);
         r.minimized_decisions = Some(vec![]);
         assert!(r.replay_decisions().is_empty());
+    }
+    /// A manifest as a `--faults` rtl8029 campaign stores it: solved
+    /// inputs, every decision kind, a minimized schedule and provenance.
+    fn stored_record() -> BugRecord {
+        use crate::bug::LifecycleEvent;
+        use ddt_expr::SymId;
+        use ddt_kernel::FaultFamily;
+        use ddt_symvm::SymOrigin;
+
+        let mut inputs = Assignment::new();
+        inputs.set(SymId(3), 0x40);
+        inputs.set(SymId(11), 0xffff_ffff);
+        inputs.set(SymId(7), 0);
+        let schedule = vec![
+            Decision::InjectInterrupt { boundary: 2 },
+            Decision::ForceAllocFail { kernel_call: 5 },
+            Decision::ConcretizationBacktrack { kernel_call: 9 },
+            Decision::InjectFault { site: 12, kind: FaultFamily::Registry },
+            Decision::LifecycleEvent { boundary: 4, event: LifecycleEvent::SurpriseRemove },
+        ];
+        BugRecord {
+            version: MANIFEST_VERSION,
+            signature: "9c1f3e5a7b2d4068".into(),
+            driver: "rtl8029".into(),
+            class: BugClass::MemoryCorruption,
+            origin: BugOrigin::Escalated,
+            description: "write past \"MulticastList\" (64 bytes)\tat 0x400a90 — idx\\4".into(),
+            pc: 0x40_0a90,
+            entry: "Initialize".into(),
+            interrupted_entry: Some("QueryInformation".into()),
+            checker: "viol".into(),
+            key: "viol:0x400a90:write".into(),
+            occurrences: 12,
+            stack: vec!["Initialize".into(), "HandleInterrupt".into()],
+            inputs,
+            decisions: schedule.clone(),
+            minimized_decisions: Some(vec![schedule[3].clone()]),
+            provenance: vec![
+                ProvenanceChain {
+                    sym: SymId(3),
+                    label: "registry:MaximumMulticastList".into(),
+                    origin: SymOrigin::Registry { name: "MaximumMulticastList".into() },
+                    width: 32,
+                    value: 0x40,
+                    route: vec!["(ult s3 0x20)".into(), "s3".into()],
+                },
+                ProvenanceChain {
+                    sym: SymId(11),
+                    label: "hw:0x8000".into(),
+                    origin: SymOrigin::HardwareRead { addr: 0x8000 },
+                    width: 8,
+                    value: 0xff,
+                    route: vec![],
+                },
+                ProvenanceChain {
+                    sym: SymId(7),
+                    label: "arg:QueryInformation[1]".into(),
+                    origin: SymOrigin::EntryArg { entry: "QueryInformation".into(), index: 1 },
+                    width: 32,
+                    value: 0,
+                    route: vec![],
+                },
+            ],
+            event_count: 1843,
+        }
+    }
+
+    /// The bytes the store writes for [`stored_record`]. Manifests and
+    /// checkpoints already on disk hold bytes like these, so they must not
+    /// change.
+    const PINNED_PRETTY: &str = include_str!("../tests/fixtures/manifest.pretty.json");
+    const PINNED_COMPACT: &str = include_str!("../tests/fixtures/manifest.compact.json");
+
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let r = stored_record();
+        assert_eq!(serde_json::to_string_pretty(&r).unwrap(), PINNED_PRETTY);
+        assert_eq!(serde_json::to_string(&r).unwrap(), PINNED_COMPACT);
+    }
+
+    #[test]
+    fn pinned_manifests_load() {
+        for pinned in [PINNED_PRETTY, PINNED_COMPACT] {
+            let back: BugRecord = serde_json::from_str(pinned).unwrap();
+            assert_eq!(serde_json::to_string_pretty(&back).unwrap(), PINNED_PRETTY);
+        }
     }
 }

@@ -89,14 +89,8 @@ impl TraceStore {
     /// All manifests in the store, sorted by signature.
     pub fn list(&self) -> io::Result<Vec<BugRecord>> {
         let mut out = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            let is_bug = entry
-                .file_name()
-                .to_str()
-                .is_some_and(|n| n.starts_with("bug-"));
-            if is_bug && path.is_dir() {
+        for (_, path) in self.bug_entries()? {
+            if path.is_dir() {
                 out.push(read_manifest(&path.join("manifest.json"))?);
             }
         }
@@ -104,8 +98,30 @@ impl TraceStore {
         Ok(out)
     }
 
+    /// The signature and path of every `bug-<signature>` entry, sorted.
+    fn bug_entries(&self) -> io::Result<Vec<(String, PathBuf)>> {
+        let mut out = Vec::new();
+        for entry in fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            if let Some(sig) = name.to_str().and_then(|n| n.strip_prefix("bug-")) {
+                out.push((sig.to_string(), entry.path()));
+            }
+        }
+        out.sort();
+        Ok(out)
+    }
+
+    /// Rewrites `index.json` from the `bug-<signature>` directories that
+    /// hold a manifest; the directory name is the signature, so no manifest
+    /// is parsed.
     fn rebuild_index(&self) -> io::Result<()> {
-        let signatures = self.list()?.into_iter().map(|r| r.signature).collect();
+        let signatures = self
+            .bug_entries()?
+            .into_iter()
+            .filter(|(_, path)| path.join("manifest.json").is_file())
+            .map(|(sig, _)| sig)
+            .collect();
         let index = StoreIndex { version: STORE_VERSION, signatures };
         write_atomic(&self.dir.join("index.json"), &to_json(&index)?)
     }
@@ -251,6 +267,29 @@ mod tests {
         let idx = store.index().unwrap();
         assert_eq!(idx.version, STORE_VERSION);
         assert_eq!(idx.signatures, vec!["cccc000000000003", "dddd000000000004"]);
+    }
+
+    #[test]
+    fn index_matches_listed_signatures() {
+        let store = tmp_store("index-list");
+        for sig in ["ffff000000000007", "0000000000000006", "aaaa000000000008"] {
+            store.persist(&artifact(sig)).unwrap();
+        }
+        // A re-found bug and a stray file change nothing; a directory whose
+        // persist stopped before its manifest is not indexed.
+        store.persist(&artifact("0000000000000006")).unwrap();
+        fs::write(store.dir().join("notes.txt"), "x").unwrap();
+        let half = store.dir().join("bug-1111000000000009");
+        fs::create_dir_all(&half).unwrap();
+        store.persist(&artifact("bbbb00000000000a")).unwrap();
+        let index = store.index().unwrap();
+        fs::remove_dir(&half).unwrap();
+        let listed: Vec<String> = store.list().unwrap().into_iter().map(|r| r.signature).collect();
+        assert_eq!(index.signatures, listed);
+        assert_eq!(
+            listed,
+            ["0000000000000006", "aaaa000000000008", "bbbb00000000000a", "ffff000000000007"]
+        );
     }
 
     #[test]
