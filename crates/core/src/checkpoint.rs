@@ -629,6 +629,7 @@ mod tests {
     use super::*;
     use crate::parallel::{resume_parallel, test_parallel};
     use crate::report::Report;
+    use ddt_expr::Assignment;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -642,22 +643,18 @@ mod tests {
 
     /// The bug fields a resumed run must reproduce exactly (§4.7): the
     /// dedup key, the classification, the attributed pc, and — the hard
-    /// part — the *solved concrete inputs* of every bug.
-    fn bug_essence(r: &Report) -> Vec<(String, String, u32, String, String)> {
+    /// part — the *solved concrete inputs* of every bug, compared as
+    /// assignments (sorted pairs, so equality is canonical). Keys are unique
+    /// per report, so ordering by key alone is total.
+    fn bug_essence(r: &Report) -> Vec<(String, String, u32, String, Assignment)> {
         let mut v: Vec<_> = r
             .bugs
             .iter()
             .map(|b| {
-                (
-                    b.key.clone(),
-                    format!("{:?}", b.class),
-                    b.pc,
-                    b.entry.clone(),
-                    format!("{:?}", b.inputs),
-                )
+                (b.key.clone(), format!("{:?}", b.class), b.pc, b.entry.clone(), b.inputs.clone())
             })
             .collect();
-        v.sort();
+        v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
 

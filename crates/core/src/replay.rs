@@ -306,13 +306,12 @@ pub struct ConcreteRunner {
 /// Builds the concrete VM for one run: mapped load plan, loaded image,
 /// scratch region, and a scripted device over the MMIO window and the
 /// whole port space. Returns the VM and the device's bus index.
-fn build_vm(dut: &DriverUnderTest, hw_values: Vec<u32>) -> (Vm, usize) {
+fn build_vm(dut: &DriverUnderTest, plan: &LoadPlan, hw_values: Vec<u32>) -> (Vm, usize) {
     let mut vm = Vm::new();
-    let plan = LoadPlan::new(dut.image.clone());
     for (start, len) in plan.regions() {
         vm.mem.map(start, len);
     }
-    vm.load_image(&dut.image);
+    vm.load_image(&plan.image);
     vm.mem.map(crate::machine::SCRATCH_BASE, crate::machine::SCRATCH_SIZE);
     let dev = vm.bus.add_device(Box::new(ScriptedDevice::new(hw_values)));
     vm.bus.map_mmio(
@@ -327,13 +326,14 @@ fn build_vm(dut: &DriverUnderTest, hw_values: Vec<u32>) -> (Vm, usize) {
 impl ConcreteRunner {
     /// Builds a runner for a driver with scripted hardware read values.
     pub fn new(dut: &DriverUnderTest, hw_values: Vec<u32>) -> ConcreteRunner {
-        let (vm, dev) = build_vm(dut, hw_values);
+        let plan = LoadPlan::new(dut.image.clone());
+        let (vm, dev) = build_vm(dut, &plan, hw_values);
         let mut kernel = Kernel::new();
         for (k, v) in &dut.registry {
             kernel.state.registry.insert(k.clone(), *v);
         }
         kernel.state.device = dut.descriptor.clone();
-        let entry = LoadPlan::new(dut.image.clone()).driver_entry();
+        let entry = plan.driver_entry();
         let pristine = (vm.cpu.clone(), vm.mem.clone());
         let mut runner = ConcreteRunner {
             vm,
@@ -459,7 +459,7 @@ impl ConcreteRunner {
         }
         self.overrides = InputOverrides::from_bug(bug);
         // Registry parameters take their model values.
-        for (label, q) in self.overrides.values.clone() {
+        for (label, q) in &self.overrides.values {
             if let Some(name) = label.strip_prefix("registry:") {
                 if let Some(&v) = q.front() {
                     self.kernel.state.registry.insert(name.to_string(), v as u32);

@@ -1,8 +1,8 @@
 //! Concrete evaluation of expressions under symbol assignments.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::node::{Expr, ExprNode};
 use crate::{fold_bin, fold_cmp, mask, sext, SymId};
@@ -12,9 +12,14 @@ use crate::{fold_bin, fold_cmp, mask, sext, SymId};
 /// Produced by the solver as a model of a satisfiable path condition and
 /// consumed by the replay engine (concrete values for hardware reads,
 /// registry parameters, entry-point arguments).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Stored as `(id, value)` pairs sorted by id, one pair per id: models hold
+/// a handful of symbols and the query cache keeps thousands of them, so a
+/// flat sorted vector (16 bytes a pair, binary-search lookup) beats a hash
+/// table on both memory and lookup cost.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Assignment {
-    values: HashMap<SymId, u64>,
+    values: Vec<(SymId, u64)>,
 }
 
 impl Assignment {
@@ -25,12 +30,20 @@ impl Assignment {
 
     /// Sets the value of a symbol (masked to the width at evaluation time).
     pub fn set(&mut self, id: SymId, value: u64) {
-        self.values.insert(id, value);
+        // Builders mostly set ids in ascending order: append without a search.
+        if self.values.last().is_none_or(|&(last, _)| last < id) {
+            self.values.push((id, value));
+            return;
+        }
+        match self.values.binary_search_by_key(&id, |&(k, _)| k) {
+            Ok(i) => self.values[i].1 = value,
+            Err(i) => self.values.insert(i, (id, value)),
+        }
     }
 
     /// Returns the value of a symbol, or `None` if unassigned.
     pub fn get(&self, id: SymId) -> Option<u64> {
-        self.values.get(&id).copied()
+        self.values.binary_search_by_key(&id, |&(k, _)| k).ok().map(|i| self.values[i].1)
     }
 
     /// Returns the value of a symbol, defaulting to zero.
@@ -41,9 +54,9 @@ impl Assignment {
         self.get(id).unwrap_or(0)
     }
 
-    /// Iterates over the assigned (symbol, value) pairs.
+    /// Iterates over the assigned (symbol, value) pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (SymId, u64)> + '_ {
-        self.values.iter().map(|(k, v)| (*k, *v))
+        self.values.iter().copied()
     }
 
     /// Number of assigned symbols.
@@ -57,9 +70,45 @@ impl Assignment {
     }
 }
 
+/// Collects pairs in any order; a repeated id keeps its last value, as
+/// successive [`Assignment::set`] calls would. Ascending input (the common
+/// case) is taken as is; anything else is stably sorted, which merges
+/// already-sorted runs in linear time.
 impl FromIterator<(SymId, u64)> for Assignment {
     fn from_iter<T: IntoIterator<Item = (SymId, u64)>>(iter: T) -> Self {
-        Assignment { values: iter.into_iter().collect() }
+        let mut values: Vec<(SymId, u64)> = iter.into_iter().collect();
+        if !values.windows(2).all(|w| w[0].0 < w[1].0) {
+            values.sort_by_key(|&(id, _)| id);
+            values.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 = later.1;
+                }
+                same
+            });
+        }
+        Assignment { values }
+    }
+}
+
+/// The wire form, fixed by stored trace manifests and checkpoints: a map
+/// field, which serializes as the id-sorted `{"values": [[id, value], ...]}`
+/// pair list. Decoding through the map normalizes unsorted or repeated
+/// pairs (last wins).
+#[derive(Serialize, Deserialize)]
+struct AssignmentWire {
+    values: BTreeMap<SymId, u64>,
+}
+
+impl Serialize for Assignment {
+    fn to_value(&self) -> Value {
+        AssignmentWire { values: self.iter().collect() }.to_value()
+    }
+}
+
+impl Deserialize for Assignment {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(AssignmentWire::from_value(v)?.values.into_iter().collect())
     }
 }
 

@@ -398,10 +398,9 @@ impl Solver {
             }
             SatOutcome::Sat => {
                 self.stats.sat_conflicts += sat.conflicts;
-                let mut model = Assignment::new();
-                for id in syms {
-                    model.set(*id, blaster.sym_model(&sat, *id).unwrap_or(0));
-                }
+                // `syms` ascends, so the model is built sorted in one pass.
+                let model: Assignment =
+                    syms.iter().map(|&id| (id, blaster.sym_model(&sat, id).unwrap_or(0))).collect();
                 // The blaster's internal division symbols are filtered out by
                 // only reporting symbols that occur in the input constraints.
                 debug_assert!(
@@ -798,10 +797,17 @@ impl Solver {
 /// original query mentioned), and those values must not override the models
 /// those components produce for themselves. Symbols the source model leaves
 /// unassigned default to zero, exactly as `eval` treats them.
+///
+/// `syms`, `from` and `into` all ascend by id, so the component's values are
+/// read in one walk over `from`, and the result is the merge of two sorted
+/// runs (a component value wins a shared id, as `set` would).
 fn merge_for(into: &mut Assignment, from: &Assignment, syms: &BTreeSet<SymId>) {
-    for id in syms {
-        into.set(*id, from.get_or_zero(*id));
-    }
+    let mut src = from.iter().peekable();
+    let picked = syms.iter().map(|&id| {
+        while src.next_if(|&(s, _)| s < id).is_some() {}
+        (id, src.next_if(|&(s, _)| s == id).map_or(0, |(_, v)| v))
+    });
+    *into = into.iter().chain(picked).collect();
 }
 
 #[cfg(test)]
@@ -1165,6 +1171,26 @@ mod tests {
         }
         assert_eq!(s.stats().sliced_queries, 1);
         assert_eq!(s.stats().slice_components, 2);
+    }
+
+    #[test]
+    fn merge_for_takes_only_the_component_symbols() {
+        let ids = |v: &[u32]| v.iter().map(|&i| SymId(i)).collect::<BTreeSet<_>>();
+        let mut composed: Assignment = [(SymId(2), 20), (SymId(6), 60)].into_iter().collect();
+        // A reused model that also assigns symbols of other components
+        // (2, 9) and leaves the component's symbol 7 unassigned.
+        let ring: Assignment =
+            [(SymId(1), 1), (SymId(2), 99), (SymId(4), 4), (SymId(9), 99)].into_iter().collect();
+        merge_for(&mut composed, &ring, &ids(&[1, 4, 7]));
+        let want: Assignment =
+            [(SymId(1), 1), (SymId(2), 20), (SymId(4), 4), (SymId(6), 60), (SymId(7), 0)]
+                .into_iter()
+                .collect();
+        assert_eq!(composed, want);
+        // A component value wins a symbol already present, as `set` would.
+        merge_for(&mut composed, &ring, &ids(&[2]));
+        assert_eq!(composed.get(SymId(2)), Some(99));
+        assert_eq!(composed.len(), 5);
     }
 
     #[test]

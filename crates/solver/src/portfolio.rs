@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use ddt_expr::{Assignment, Expr, SymId};
+use ddt_expr::{Expr, SymId};
 
 use crate::blast::Blaster;
 use crate::cache::{CacheAnswer, QueryCache, QueryGrade};
@@ -99,11 +99,12 @@ pub(crate) fn race(
                 let result = match outcome {
                     SatOutcome::Unsat => SatResult::Unsat,
                     SatOutcome::Sat => {
-                        let mut model = Assignment::new();
-                        for id in part_syms {
-                            model.set(*id, blaster.sym_model(&sat, *id).unwrap_or(0));
-                        }
-                        SatResult::Sat(model)
+                        SatResult::Sat(
+                            part_syms
+                                .iter()
+                                .map(|&id| (id, blaster.sym_model(&sat, id).unwrap_or(0)))
+                                .collect(),
+                        )
                     }
                 };
                 let conflicts = sat.conflicts;

@@ -180,11 +180,11 @@ impl Session {
         Some(match outcome {
             SatOutcome::Unsat => ProbeAnswer::Unsat,
             SatOutcome::Sat => {
-                let mut model = Assignment::new();
-                for id in syms {
-                    model.set(*id, self.blaster.sym_model(&self.sat, *id).unwrap_or(0));
-                }
-                ProbeAnswer::Sat(model)
+                ProbeAnswer::Sat(
+                    syms.iter()
+                        .map(|&id| (id, self.blaster.sym_model(&self.sat, id).unwrap_or(0)))
+                        .collect(),
+                )
             }
         })
     }
